@@ -91,6 +91,19 @@ func BenchmarkCoRank20k(b *testing.B) {
 	}
 }
 
+func BenchmarkNewRelatedIndex20k(b *testing.B) {
+	net := benchNetwork(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ri, err := NewRelatedIndex(net, RelatedOptions{Iter: benchIter})
+		if err != nil {
+			b.Fatal(err)
+		}
+		ri.Close()
+	}
+}
+
 func BenchmarkRelatedQuery20k(b *testing.B) {
 	net := benchNetwork(b)
 	ri, err := NewRelatedIndex(net, RelatedOptions{Iter: benchIter})

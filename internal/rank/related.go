@@ -2,6 +2,7 @@ package rank
 
 import (
 	"fmt"
+	"slices"
 
 	"scholarrank/internal/graph"
 	"scholarrank/internal/hetnet"
@@ -39,25 +40,38 @@ func NewRelatedIndex(net *hetnet.Network, opts RelatedOptions) (*RelatedIndex, e
 	if opts.Damping <= 0 || opts.Damping >= 1 {
 		return nil, fmt.Errorf("%w: related damping %v", ErrBadParam, opts.Damping)
 	}
+	// Both directions of every citation, counting-sorted by source
+	// into one CSR in O(E): row u holds u's references and its citers.
+	// FromCSRRows then sorts and deduplicates each row, so a mutual
+	// citation pair collapses to one undirected edge.
 	src := net.Citations
-	b := graph.NewBuilder(src.NumNodes(), false)
-	var addErr error
-	src.VisitEdges(func(u, v graph.NodeID, _ float64) {
-		if err := b.AddEdge(u, v); err != nil && addErr == nil {
-			addErr = err
+	n := src.NumNodes()
+	offsets := make([]int64, n+1)
+	for u := range n {
+		refs := src.Neighbors(graph.NodeID(u))
+		offsets[u+1] += int64(len(refs))
+		for _, v := range refs {
+			offsets[v+1]++
 		}
-		if err := b.AddEdge(v, u); err != nil && addErr == nil {
-			addErr = err
+	}
+	for u := range n {
+		offsets[u+1] += offsets[u]
+	}
+	dsts := make([]graph.NodeID, offsets[n])
+	next := slices.Clone(offsets[:n])
+	for u := range n {
+		for _, v := range src.Neighbors(graph.NodeID(u)) {
+			dsts[next[u]] = v
+			next[u]++
+			dsts[next[v]] = graph.NodeID(u)
+			next[v]++
 		}
-	})
-	if addErr != nil {
-		return nil, addErr
 	}
 	pool := sparse.NewPool(opts.Workers)
 	return &RelatedIndex{
-		trans: sparse.NewTransition(b.Build(), pool),
+		trans: sparse.NewTransition(graph.FromCSRRows(n, offsets, dsts), pool),
 		pool:  pool,
-		n:     src.NumNodes(),
+		n:     n,
 		opts:  opts,
 	}, nil
 }

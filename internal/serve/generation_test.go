@@ -10,6 +10,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -137,6 +138,37 @@ func TestIngestNoopAndErrors(t *testing.T) {
 	}
 	if srv.Version() != 1 {
 		t.Errorf("version = %d after rejected ingest", srv.Version())
+	}
+}
+
+// TestIngestDoesNotLeakGoroutines ties each related index's worker
+// pool to its generation: every ingest builds a generation with a
+// fresh pool, and retiring the old generation must stop its workers,
+// so the goroutine count stays flat however many ingests run.
+func TestIngestDoesNotLeakGoroutines(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skip("one CPU: related-index pools start no worker goroutines")
+	}
+	_, srv := liveFixture(t, Config{})
+	h := srv.Handler()
+	ingest := func(i int) {
+		t.Helper()
+		rec := post(t, h, "/admin/ingest", fmt.Sprintf(`{"id":"leak%d","year":2016,"refs":["a"]}`, i))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("ingest %d status = %d: %s", i, rec.Code, rec.Body)
+		}
+	}
+	// Pool.Close returns once its workers have exited, and with no
+	// reader holding it the retired generation is released inside
+	// the ingest call, so the count is exact when ingest returns.
+	ingest(0)
+	base := runtime.NumGoroutine()
+	const n = 8
+	for i := 1; i <= n; i++ {
+		ingest(i)
+	}
+	if got := runtime.NumGoroutine(); got > base {
+		t.Errorf("goroutines grew from %d to %d over %d ingests", base, got, n)
 	}
 }
 

@@ -29,6 +29,7 @@ type Pool struct {
 	work    chan *poolJob
 	closed  atomic.Bool
 	once    sync.Once
+	exited  sync.WaitGroup // background workers still running
 
 	// Occupancy counters for observability: Run invocations and tasks
 	// dispatched over the pool's lifetime.
@@ -85,8 +86,10 @@ func NewPool(workers int) *Pool {
 	p := &Pool{workers: workers}
 	if workers > 1 {
 		p.work = make(chan *poolJob, workers-1)
+		p.exited.Add(workers - 1)
 		for i := 0; i < workers-1; i++ {
 			go func() {
+				defer p.exited.Done()
 				for j := range p.work {
 					j.drain()
 				}
@@ -144,9 +147,9 @@ wakeLoop:
 	j.wg.Wait()
 }
 
-// Close releases the background workers. It is idempotent; Run calls
-// after Close execute serially on the caller. Close must not be
-// called while a Run is in flight.
+// Close releases the background workers and returns once they have
+// exited. It is idempotent; Run calls after Close execute serially on
+// the caller. Close must not be called while a Run is in flight.
 func (p *Pool) Close() {
 	if p == nil {
 		return
@@ -155,6 +158,7 @@ func (p *Pool) Close() {
 		p.closed.Store(true)
 		if p.work != nil {
 			close(p.work)
+			p.exited.Wait()
 		}
 	})
 }
